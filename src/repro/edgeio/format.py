@@ -1,17 +1,27 @@
 """TSV edge format: ``u\\tv\\n`` per edge (paper Section IV.A).
 
 Encoding and decoding are the pipeline's data-movement hot path — every
-Kernel 0 shard write and Kernel 1 shard read pays them — so both run as
-**vectorized pure-numpy byte assembly**: digits are written straight
-into one ``uint8`` buffer (encode) and parsed straight out of the file
-bytes (decode) without materialising per-line Python strings or a
-Python token list.  The historical string-kernel paths are kept as
-private functions: they back the corruption diagnostics (exact error
-messages, line numbers via :func:`parse_edge_line`), handle exotic but
-legal inputs the fast path declines (signed labels, ``+`` prefixes,
->18-digit tokens), and serve as the reference implementation that
-``tools/bench_codec.py`` measures the fast path against.  The fast and
-legacy paths are asserted byte-identical by the test suite.
+Kernel 0 shard write and Kernel 1 shard read pays them — so both run
+as whole-array numpy operations with no per-line Python objects:
+
+* **Encode** writes every label's digits right-aligned into one
+  fixed-width ``(M, wu + wv + 2)`` ``uint8`` matrix (``uint32``
+  arithmetic when every label is below ``2**32``), then drops the
+  left padding with one boolean compress whose mask rows come from a
+  table indexed by digit count.
+* **Decode** is ``np.fromstring(payload, sep=" ")`` behind a guard: a
+  payload holding any byte other than digits and ``bytes.split()``
+  whitespace, or any label ``>= 10**18``, goes to the split path
+  instead: ``fromstring`` rejects junk with a bare ``ValueError`` (a
+  mere warning on numpy 1.x) and saturates overflow silently.
+
+The string-kernel paths are kept as private functions: they back the
+corruption diagnostics (exact error messages, line numbers via
+:func:`parse_edge_line`), handle exotic but legal inputs the fast path
+declines (signed labels, ``+`` prefixes, 19+-digit labels), and serve
+as the reference that ``tools/bench_codec.py`` measures the fast paths
+against.  Fast and reference paths are asserted byte/bit-identical by
+the test suite.
 
 The paper's Matlab reference is 1-based; this library is 0-based
 internally.  ``vertex_base`` selects the on-disk convention (default 0)
@@ -34,10 +44,13 @@ _ASCII_ZERO = 0x30
 _TAB = 0x09
 _NEWLINE = 0x0A
 
-#: Tokens longer than this may overflow int64 during the vectorized
-#: accumulate; the legacy parser (whose ``np.array(tokens)`` conversion
-#: reports overflow as corruption) handles them instead.
-_MAX_FAST_DIGITS = 18
+#: Digits plus the six bytes ``bytes.split()`` treats as whitespace: a
+#: payload of only these is safe to hand to ``np.fromstring``.
+_TSV_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+
+#: Labels at or above this may have overflowed in ``np.fromstring``
+#: (19+ digits); the split path parses them exactly or reports overflow.
+_FAST_LABEL_LIMIT = 10**18
 
 
 def encode_edges(
@@ -93,8 +106,8 @@ def _encode_edges_strings(u_out: np.ndarray, v_out: np.ndarray) -> bytes:
 
 
 def _digit_counts(values: np.ndarray) -> np.ndarray:
-    """Decimal digit count of each non-negative int64 (exact, no log10)."""
-    counts = np.ones(len(values), dtype=np.int64)
+    """Decimal digit count of each non-negative label (exact, no log10)."""
+    counts = np.ones(len(values), dtype=np.uint16)
     bound = 10
     ceiling = int(values.max())
     while bound <= ceiling:
@@ -103,38 +116,55 @@ def _digit_counts(values: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _fill_digits(
-    buf: np.ndarray,
-    values: np.ndarray,
-    digits: np.ndarray,
-    last_pos: np.ndarray,
-) -> None:
-    """Write each value's decimal digits ending at ``last_pos`` (LSB there)."""
+def _write_digits(columns: np.ndarray, values: np.ndarray) -> None:
+    """Write each value's decimal digit values (0-9, not ASCII)
+    right-aligned into ``columns``, an ``(M, w)`` view, zero-padded on
+    the left."""
     remaining = values
-    max_digits = int(digits.max())
-    for k in range(max_digits):
-        remaining, digit = np.divmod(remaining, 10)
-        mask = digits > k
-        buf[last_pos[mask] - k] = _ASCII_ZERO + digit[mask]
+    for col in range(columns.shape[1] - 1, -1, -1):
+        quotient = remaining // 10
+        np.subtract(remaining, quotient * 10, out=columns[:, col],
+                    casting="unsafe")
+        remaining = quotient
+
+
+def _suffix_table(width: int) -> np.ndarray:
+    """``(width + 1, width)`` bools; row ``d`` keeps the last ``d`` columns."""
+    return np.arange(width) >= width - np.arange(width + 1)[:, None]
 
 
 def _encode_edges_fast(u_out: np.ndarray, v_out: np.ndarray) -> bytes:
-    """Vectorized encoder: one uint8 buffer, no per-line Python objects.
+    """Vectorized encoder: one fixed-width byte matrix, one compress.
 
-    Layout per line ``i``: ``u`` digits, tab, ``v`` digits, newline.
-    Every write below is a single fancy-indexed numpy store; the byte
-    output is identical to :func:`_encode_edges_strings`.
+    Row ``i`` is ``u`` digits, tab, ``v`` digits, newline, each label
+    right-aligned in its field's widest width.  The keep-mask row for a
+    ``(du, dv)`` digit-count pair drops that row's padding; rows come
+    from a small table of every pair, so the whole payload is one
+    boolean compress.  The output is identical to
+    :func:`_encode_edges_strings`.
     """
+    if max(int(u_out.max()), int(v_out.max())) < 2**32:
+        # uint32 division is about twice as fast as int64 division.
+        u_out = u_out.astype(np.uint32)
+        v_out = v_out.astype(np.uint32)
     du = _digit_counts(u_out)
     dv = _digit_counts(v_out)
-    ends = np.cumsum(du + dv + 2)
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    buf[ends - 1] = _NEWLINE
-    tab_pos = ends - dv - 2
-    buf[tab_pos] = _TAB
-    _fill_digits(buf, u_out, du, tab_pos - 1)
-    _fill_digits(buf, v_out, dv, ends - 2)
-    return buf.tobytes()
+    wu = int(du.max())
+    wv = int(dv.max())
+    width = wu + wv + 2
+    rows = np.empty((len(u_out), width), dtype=np.uint8)
+    _write_digits(rows[:, :wu], u_out)
+    _write_digits(rows[:, wu + 1:-1], v_out)
+    rows += _ASCII_ZERO
+    rows[:, wu] = _TAB
+    rows[:, -1] = _NEWLINE
+    # table[du, dv] is the mask row for a line with those digit counts.
+    table = np.ones((wu + 1, wv + 1, width), dtype=bool)
+    table[:, :, :wu] = _suffix_table(wu)[:, None]
+    table[:, :, wu + 1:-1] = _suffix_table(wv)
+    table_rows = table.reshape(-1, width).view(f"V{width}").ravel()
+    keep = np.take(table_rows, du * (wv + 1) + dv).view(bool)
+    return rows.reshape(-1)[keep].tobytes()
 
 
 def decode_edges(
@@ -192,59 +222,33 @@ def decode_edges(
 def _decode_edges_fast(
     payload: bytes,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Buffer-level tokenizer: parse labels straight from the bytes.
+    """Guarded ``np.fromstring`` tokenizer for the common case.
 
-    Handles the overwhelmingly common case — non-negative decimal
-    labels separated by ASCII whitespace — without building a Python
-    token list (``payload.split()`` allocates one PyObject per label,
-    which dominates warm decode).  Returns ``None`` when the payload
-    needs the general parser: any byte that is neither a digit nor
-    whitespace (signs, letters — the legacy path owns the error
-    wording), or a token long enough to overflow the int64 accumulate.
+    Handles non-negative decimal labels separated by the whitespace
+    ``bytes.split()`` splits on, without building a Python token list.
+    Returns ``None`` when the general parser must run instead: any other
+    byte (signs, letters: the split path owns the error wording, where
+    ``fromstring`` raises a bare ``ValueError`` or, on numpy 1.x, only
+    warns) or any label ``>= 10**18`` (``fromstring`` saturates
+    overflow to INT64_MAX silently).
     """
-    data = np.frombuffer(payload, dtype=np.uint8)
-    is_digit = (data >= _ASCII_ZERO) & (data <= _ASCII_ZERO + 9)
-    # bytes.split() splits on exactly this set: space, \t\n\r\x0b\x0c.
-    is_ws = (
-        (data == 0x20) | (data == 0x09) | (data == 0x0A)
-        | (data == 0x0D) | (data == 0x0B) | (data == 0x0C)
-    )
-    if not bool((is_digit | is_ws).all()):
+    if payload.translate(None, _TSV_BYTES):
         return None
-    flags = np.zeros(len(data) + 2, dtype=np.int8)
-    flags[1:-1] = is_digit
-    edges_of = np.diff(flags)
-    starts = np.flatnonzero(edges_of == 1)
-    stops = np.flatnonzero(edges_of == -1)
-    num_tokens = len(starts)
-    if num_tokens % 2 != 0:
-        raise CorruptEdgeFileError(
-            f"edge payload has an odd number of tokens ({num_tokens}); "
-            "each edge needs exactly two vertex labels"
-        )
-    lengths = stops - starts
-    if int(lengths.max()) > _MAX_FAST_DIGITS:
+    # fromstring accepts only immutable bytes; bytes(b) is b for bytes.
+    values = np.fromstring(bytes(payload), dtype=np.int64, sep=" ")
+    _check_even_tokens(len(values))
+    if int(values.max()) >= _FAST_LABEL_LIMIT:
         return None
-    values = np.zeros(num_tokens, dtype=np.int64)
-    for k in range(int(lengths.max())):
-        mask = lengths > k
-        values[mask] = values[mask] * 10 + (
-            data[starts[mask] + k].astype(np.int64) - _ASCII_ZERO
-        )
     return values[0::2], values[1::2]
 
 
 def _decode_edges_split(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
     """General tokenizer via ``payload.split()`` (slow, allocates a
     Python token list).  Owns the corruption error wording and the
-    exotic-but-legal inputs (signed labels, ``+`` prefixes, tokens the
-    int64 accumulate could overflow on)."""
+    exotic-but-legal inputs (signed labels, ``+`` prefixes, labels of
+    19 or more digits)."""
     tokens = payload.split()
-    if len(tokens) % 2 != 0:
-        raise CorruptEdgeFileError(
-            f"edge payload has an odd number of tokens ({len(tokens)}); "
-            "each edge needs exactly two vertex labels"
-        )
+    _check_even_tokens(len(tokens))
     try:
         flat = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError) as exc:
@@ -253,6 +257,14 @@ def _decode_edges_split(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
         ) from exc
     edges = flat.reshape(-1, 2)
     return edges[:, 0], edges[:, 1]
+
+
+def _check_even_tokens(num_tokens: int) -> None:
+    if num_tokens % 2 != 0:
+        raise CorruptEdgeFileError(
+            f"edge payload has an odd number of tokens ({num_tokens}); "
+            "each edge needs exactly two vertex labels"
+        )
 
 
 def parse_edge_line(raw: bytes, *, lineno: int = 0) -> Tuple[int, int]:

@@ -113,6 +113,8 @@ class _RemoteRig:
         self.server.shutdown()
         self.server.server_close()
         self.service.close(wait=False)
+        for agent in self.agents:
+            agent.stop()
         for thread in self.threads:
             thread.join(timeout=5)
 

@@ -87,7 +87,8 @@ class TestDecode:
 class TestVectorizedEncodeParity:
     """The fast path must be byte-identical to the string-kernel path."""
 
-    @pytest.mark.parametrize("hi", [1, 2, 10, 11, 101, 2**16, 2**40, 2**62])
+    @pytest.mark.parametrize("hi", [1, 2, 10, 11, 101, 2**16, 2**32 - 1,
+                                    2**32, 2**40, 2**62, 2**63 - 1])
     def test_random_arrays_byte_identical(self, hi):
         rng = np.random.default_rng(hi)
         u = rng.integers(0, hi, 257, dtype=np.int64)
@@ -95,7 +96,8 @@ class TestVectorizedEncodeParity:
         assert encode_edges(u, v) == _encode_edges_strings(u, v)
 
     @pytest.mark.parametrize("value", [0, 9, 10, 99, 100, 999, 1000,
-                                       10**9 - 1, 10**9, 2**62])
+                                       10**9 - 1, 10**9, 2**32 - 1, 2**32,
+                                       2**62, 2**63 - 1])
     def test_digit_count_boundaries(self, value):
         arr = np.array([value], dtype=np.int64)
         assert encode_edges(arr, arr) == f"{value}\t{value}\n".encode()
@@ -131,7 +133,7 @@ class TestVectorizedEncodeParity:
 
 
 class TestBufferLevelDecode:
-    """The frombuffer tokenizer must agree with ``payload.split()``."""
+    """The guarded fromstring tokenizer must agree with ``payload.split()``."""
 
     @pytest.mark.parametrize("payload", [
         b"1 2\n3 4",            # space-separated
@@ -166,6 +168,35 @@ class TestBufferLevelDecode:
         assert _decode_edges_fast(payload) is None
         u, v = decode_edges(payload)
         assert u[0] == big and v[0] == big
+
+    def test_int64_max_round_trips_exactly(self):
+        top = 2**63 - 1
+        payload = f"{top}\t{top}\n".encode()
+        assert _decode_edges_fast(payload) is None
+        u, v = decode_edges(payload)
+        assert u.tolist() == [top] and v.tolist() == [top]
+
+    @pytest.mark.parametrize("payload", [
+        b"1.5\t2\n", b"0x10\t2\n", b"1e3\t2\n", b"nan\t1\n",
+    ])
+    def test_float_hex_and_nan_tokens_are_non_integer(self, payload):
+        with pytest.raises(CorruptEdgeFileError, match="non-integer"):
+            decode_edges(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(list(b"0123456789 \t\n\r\x0b\x0c-+.xe")),
+                    max_size=40).map(bytes))
+    def test_fuzzed_bytes_match_split_path(self, payload):
+        try:
+            expected = _decode_edges_split(payload)
+        except CorruptEdgeFileError:
+            with pytest.raises(CorruptEdgeFileError):
+                decode_edges(payload)
+            return
+        u, v = decode_edges(payload)
+        assert u.dtype == np.int64 and v.dtype == np.int64
+        assert np.array_equal(u, expected[0])
+        assert np.array_equal(v, expected[1])
 
     def test_overflowing_token_is_corruption(self):
         with pytest.raises(CorruptEdgeFileError, match="non-integer"):

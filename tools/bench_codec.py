@@ -1,18 +1,21 @@
-"""Micro-benchmark: vectorized vs string-kernel TSV edge codec.
+"""Micro-benchmark: fast vs reference TSV edge codec.
 
-Quantifies the :mod:`repro.edgeio.format` rewrite independently of the
-pipeline: random edge arrays at the requested Graph500 scales are
-encoded with the vectorized bytes-assembly path and the legacy
-``np.char`` string path, then the produced payload is decoded with the
-buffer-level tokenizer and the legacy ``payload.split()`` tokenizer.
+Quantifies the :mod:`repro.edgeio.format` fast paths independently of
+the pipeline.  Random edge arrays at the requested Graph500 scales are
+encoded with the fixed-width digit-matrix path (one boolean compress
+drops the padding) and with the reference ``np.char`` string path; the
+payload is then decoded with the guarded ``np.fromstring`` path (a
+byte-class check and a label bound send anything unusual to the split
+path) and with the reference ``payload.split()`` tokenizer.
 Throughput is reported in MB/s of TSV payload, with the speedup per
 direction, and every fast-path result is asserted identical to its
-legacy counterpart before any number is printed.
+reference counterpart before any number is printed.
 
 Usage::
 
     python tools/bench_codec.py [--scales 14,16,18] [--edge-factor 16]
-        [--repeats 3] [--seed 1]
+        [--repeats 3] [--seed 1] [--min-encode-speedup X]
+        [--min-decode-speedup X]
 
 The per-scale label space matches the pipeline: scale ``s`` draws
 ``edge_factor * 2**s`` edges with labels uniform in ``[0, 2**s)``.
@@ -63,7 +66,7 @@ def bench_scale(scale: int, edge_factor: int, seed: int, repeats: int) -> dict:
     if not (np.array_equal(fast_u, legacy_u)
             and np.array_equal(fast_v, legacy_v)):
         raise AssertionError(
-            f"scale {scale}: buffer-level decode differs from the "
+            f"scale {scale}: fromstring decode differs from the "
             f"split-tokenizer path"
         )
 
@@ -104,6 +107,9 @@ def main(argv) -> int:
     parser.add_argument("--min-encode-speedup", type=float, default=0.0,
                         help="exit 1 unless every scale's encode speedup "
                              "meets this factor (CI gates 3.0)")
+    parser.add_argument("--min-decode-speedup", type=float, default=0.0,
+                        help="exit 1 unless every scale's decode speedup "
+                             "meets this factor (CI gates 2.0)")
     args = parser.parse_args(argv[1:])
 
     header = (
@@ -113,7 +119,7 @@ def main(argv) -> int:
     )
     print(header)
     print("-" * len(header))
-    slow_scales = []
+    slow = []
     for scale in args.scales:
         row = bench_scale(scale, args.edge_factor, args.seed, args.repeats)
         print(
@@ -125,17 +131,17 @@ def main(argv) -> int:
             f"{row['decode_speedup']:>5.1f}x",
             flush=True,
         )
-        if row["encode_speedup"] < args.min_encode_speedup:
-            slow_scales.append((scale, row["encode_speedup"]))
+        for direction, floor in (("encode", args.min_encode_speedup),
+                                 ("decode", args.min_decode_speedup)):
+            speedup = row[f"{direction}_speedup"]
+            if speedup < floor:
+                slow.append(f"{direction} at scale {scale} ({speedup:.1f}x "
+                            f"< {floor:g}x)")
     print("(throughput in MB/s of TSV payload; fast paths asserted "
-          "byte/bit-identical to the legacy paths before timing)")
-    if slow_scales:
-        print(
-            "error: encode speedup below "
-            f"{args.min_encode_speedup:g}x at: "
-            + ", ".join(f"scale {s} ({x:.1f}x)" for s, x in slow_scales),
-            file=sys.stderr,
-        )
+          "byte/bit-identical to the reference paths before timing)")
+    if slow:
+        print("error: speedup below the floor: " + ", ".join(slow),
+              file=sys.stderr)
         return 1
     return 0
 
